@@ -2,7 +2,7 @@
 
 pytest-benchmark timings of the packed-tensor distance layer against the
 per-pair baseline it replaces: the stacked cost-tensor assembly, the
-lockstep batched Hungarian, one-query-vs-database refinement, and the
+stacked assignment solve, one-query-vs-database refinement, and the
 full pairwise matrix behind the OPTICS experiments.  The ≥5x acceptance
 number lives in ``BENCH_PR2.json`` (``python -m repro bench``); these
 tests track the same kernels per call so regressions show up in CI.
@@ -39,7 +39,7 @@ def test_bench_pack(benchmark, workload):
     benchmark(PackedSets.pack, sets, capacity=K)
 
 
-def test_bench_hungarian_lockstep_batch(benchmark):
+def test_bench_hungarian_batch(benchmark):
     rng = np.random.default_rng(7)
     costs = rng.uniform(size=(1024, K, K))
     benchmark(hungarian_batch, costs)

@@ -3,8 +3,9 @@
 This subpackage implements Section 4 of the paper:
 
 * :mod:`repro.core.vector_set` — the vector set representation,
-* :mod:`repro.core.matching` — the Kuhn–Munkres (Hungarian) algorithm,
-  written from scratch with O(k^3) worst-case complexity,
+* :mod:`repro.core.matching` — the Kuhn–Munkres (Hungarian) assignment:
+  scipy's ``linear_sum_assignment`` as the one production solver and a
+  from-scratch O(k^3) implementation as the test oracle,
 * :mod:`repro.core.min_matching` — the minimal matching distance
   (Definition 6) with pluggable weight functions,
 * :mod:`repro.core.permutation` — the minimum Euclidean distance under
@@ -14,8 +15,7 @@ This subpackage implements Section 4 of the paper:
 * :mod:`repro.core.queries` — filter-and-refine ε-range and optimal
   multi-step k-nn query processing,
 * :mod:`repro.core.batch` — batched minimal-matching kernels over
-  omega-padded packed tensors, with a lockstep batched Hungarian and
-  a parallel pairwise-distance engine.
+  omega-padded packed tensors and a parallel pairwise-distance engine.
 """
 
 from repro.core.batch import (

@@ -1,37 +1,32 @@
-"""Kuhn–Munkres (Hungarian) algorithm, from scratch.
+"""Kuhn–Munkres (Hungarian) assignment: one solver and one oracle.
 
 The paper computes the minimal matching distance with "the method
 proposed by Kuhn and Munkres", i.e. a minimum-weight perfect matching in
 a complete bipartite graph, at O(k^3) worst-case cost (Section 4.2).
-:func:`hungarian` implements the classic shortest-augmenting-path
-formulation with row/column potentials: each of the ``n`` phases grows
-one alternating path in O(n^2), giving O(n^3) overall.
 
-``scipy.optimize.linear_sum_assignment`` is kept available as an
-optional backend (``backend="scipy"``) and serves as the correctness
-oracle in the test suite; the default backend is this implementation.
+* :func:`solve_assignment` is the production solver, scipy's C
+  ``linear_sum_assignment``; :func:`hungarian` validates one matrix and
+  calls it.
+* :class:`ScalarHungarianSolver` is the from-scratch shortest-augmenting-
+  path formulation with row/column potentials (each of the ``n`` phases
+  grows one alternating path in O(n^2), O(n^3) overall).  No production
+  path runs it: it is the reference the tests check the solver against.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from repro.exceptions import DistanceError
 
 
-#: Below this size the scalar implementation beats the vectorized one
-#: (numpy call overhead dominates O(n^3) work for tiny n).
-_SCALAR_CUTOFF = 16
-
-
 class ScalarHungarianSolver:
-    """Buffer-reusing scalar Kuhn–Munkres for repeated same-size problems.
+    """From-scratch Kuhn–Munkres, the test oracle for the scipy solver.
 
-    The batched kernels (:mod:`repro.core.batch`) solve thousands of
-    ``k x k`` assignments back to back; allocating the six working lists
-    per problem would dominate the O(k^3) arithmetic at the paper's
-    k <= 9.  This solver allocates them once and re-initializes in place
-    on every :meth:`solve_rows` call.
+    Plain Python floats and lists; the working lists are allocated once
+    and re-initialized on every :meth:`solve_rows` call, so one instance
+    solves any number of same-size problems.
     """
 
     def __init__(self, n: int):
@@ -93,81 +88,33 @@ class ScalarHungarianSolver:
         for j in range(1, n + 1):
             assignment[match_row[j] - 1] = j - 1
 
-
-def _hungarian_scalar(cost: np.ndarray) -> np.ndarray:
-    """Scalar Kuhn–Munkres for small matrices (same algorithm as
-    :func:`_hungarian_own`, plain Python floats instead of numpy rows —
-    roughly 10x faster for the paper's k <= 9 cover sets)."""
-    n = len(cost)
-    assignment = np.empty(n, dtype=int)
-    ScalarHungarianSolver(n).solve_rows(cost.tolist(), assignment)
-    return assignment
+    def solve(self, cost: np.ndarray) -> np.ndarray:
+        """Column assigned to each row of one ``(n, n)`` cost matrix."""
+        assignment = np.empty(self.n, dtype=np.intp)
+        self.solve_rows(np.asarray(cost, dtype=float).tolist(), assignment)
+        return assignment
 
 
-def _hungarian_own(cost: np.ndarray) -> np.ndarray:
-    """Column assigned to each row for a square cost matrix.
+def solve_assignment(matrix: np.ndarray) -> np.ndarray:
+    """The production solver: column assigned to each row of one square,
+    finite, already validated cost matrix.
 
-    Shortest-augmenting-path Hungarian with potentials.  Indices are
-    1-based internally (index 0 is the virtual start column), following
-    the classic formulation, and translated on return.
+    Every minimal-matching distance in the package — :func:`hungarian`,
+    the stacked :func:`repro.core.batch.hungarian_batch` and through them
+    the query engine, the databases and clustering — is solved here, by
+    scipy's C ``linear_sum_assignment``.  For a square matrix it returns
+    the rows in order, so its column array is the assignment.
     """
-    n = cost.shape[0]
-    infinity = np.inf
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    # match_row[j] = row currently assigned to column j (0 = unassigned).
-    match_row = np.zeros(n + 1, dtype=int)
-    way = np.zeros(n + 1, dtype=int)
-
-    for row in range(1, n + 1):
-        match_row[0] = row
-        j0 = 0
-        min_reduced = np.full(n + 1, infinity)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = match_row[j0]
-            # Vectorized relaxation of all unused columns from row i0.
-            free = ~used
-            free[0] = False
-            columns = np.nonzero(free)[0]
-            reduced = cost[i0 - 1, columns - 1] - u[i0] - v[columns]
-            improves = reduced < min_reduced[columns]
-            improved_cols = columns[improves]
-            min_reduced[improved_cols] = reduced[improves]
-            way[improved_cols] = j0
-            # Pick the unused column with the smallest reduced cost.
-            j1 = columns[np.argmin(min_reduced[columns])]
-            delta = min_reduced[j1]
-            # Update potentials; unreached columns keep their slack.
-            u[match_row[used]] += delta
-            v[used] -= delta
-            min_reduced[~used] -= delta
-            j0 = j1
-            if match_row[j0] == 0:
-                break
-        # Unroll the augmenting path.
-        while j0:
-            j1 = way[j0]
-            match_row[j0] = match_row[j1]
-            j0 = j1
-
-    assignment = np.empty(n, dtype=int)
-    assignment[match_row[1:] - 1] = np.arange(n)
-    return assignment
+    return linear_sum_assignment(matrix)[1]
 
 
-def hungarian(cost: np.ndarray, backend: str = "own") -> np.ndarray:
+def hungarian(cost: np.ndarray) -> np.ndarray:
     """Solve the square assignment problem.
 
     Parameters
     ----------
     cost:
         ``(n, n)`` cost matrix with finite entries.
-    backend:
-        ``"own"`` (default) for the from-scratch Kuhn–Munkres
-        implementation, ``"scipy"`` for
-        :func:`scipy.optimize.linear_sum_assignment`.
 
     Returns
     -------
@@ -177,22 +124,22 @@ def hungarian(cost: np.ndarray, backend: str = "own") -> np.ndarray:
     matrix = np.asarray(cost, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DistanceError(f"cost matrix must be square, got shape {matrix.shape}")
-    if not matrix.size:
-        return np.empty(0, dtype=int)
     if not np.all(np.isfinite(matrix)):
         raise DistanceError("cost matrix must be finite")
-    if backend == "own":
-        if matrix.shape[0] <= _SCALAR_CUTOFF:
-            return _hungarian_scalar(matrix)
-        return _hungarian_own(matrix)
-    if backend == "scipy":
-        from scipy.optimize import linear_sum_assignment
+    return solve_assignment(matrix)
 
-        rows, cols = linear_sum_assignment(matrix)
-        assignment = np.empty(matrix.shape[0], dtype=int)
-        assignment[rows] = cols
-        return assignment
-    raise DistanceError(f"unknown backend: {backend!r}")
+
+def identity_is_optimal(identity_cost, optimum):
+    """Whether the identity alignment is an optimal matching (Table 1).
+
+    A pair counts as identity-aligned when the identity alignment's cost
+    (the trace of its padded cost matrix) equals the optimum within a
+    relative 1e-12, which absorbs summation-order ulps.  Unlike asking
+    whether the solver's chosen optimum *is* the identity, this does not
+    depend on how a solver breaks ties between equally cheap matchings.
+    Works on scalars and elementwise on arrays.
+    """
+    return np.abs(identity_cost - optimum) <= 1e-12 * np.abs(optimum)
 
 
 def assignment_cost(cost: np.ndarray, assignment: np.ndarray) -> float:

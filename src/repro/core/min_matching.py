@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.matching import hungarian
+from repro.core.matching import hungarian, identity_is_optimal
 from repro.core.vector_set import VectorSet
 from repro.exceptions import DistanceError
 
@@ -121,9 +121,12 @@ class MatchResult:
     unmatched:
         Indices in the larger set that paid the weight penalty.
     is_identity:
-        Whether the matching equals the identity alignment
-        (``x_i <-> y_i``) — the quantity behind Table 1: a "proper
-        permutation" is any optimal matching that is *not* the identity.
+        Whether the identity alignment (``x_i <-> y_i``, surplus rows
+        unmatched) is an optimal matching, i.e. costs the optimum within
+        a relative 1e-12 (:func:`repro.core.matching.identity_is_optimal`)
+        — the quantity behind Table 1: a pair needs a "proper
+        permutation" when it is *not* identity-aligned.  Ties between
+        optima do not change it, whichever one the solver returns.
     """
 
     distance: float
@@ -137,7 +140,6 @@ def min_matching_match(
     y: np.ndarray | VectorSet,
     dist: str | DistanceFn = "euclidean",
     weight: WeightFn | None = None,
-    backend: str = "own",
 ) -> MatchResult:
     """Minimal matching distance with the full matching reported.
 
@@ -153,8 +155,6 @@ def min_matching_match(
         to the Euclidean norm (``omega = 0``, the paper's choice).  For
         metric behaviour it must satisfy the Lemma 1 conditions together
         with *dist*.
-    backend:
-        Assignment backend, see :func:`repro.core.matching.hungarian`.
     """
     arr_x = _as_array(x)
     arr_y = _as_array(y)
@@ -180,19 +180,22 @@ def min_matching_match(
             raise DistanceError("weight function must return one value per vector")
         cost[:, n:] = penalties[:, np.newaxis]
 
-    assignment = hungarian(cost, backend=backend)
-    total = float(cost[np.arange(m), assignment].sum())
+    rows = np.arange(m)
+    assignment = hungarian(cost)
+    total = float(cost[rows, assignment].sum())
+    identity_cost = float(cost[rows, rows].sum())
 
     matched_rows = np.nonzero(assignment < n)[0]
     pairs = np.column_stack([matched_rows, assignment[matched_rows]])
     unmatched = np.nonzero(assignment >= n)[0]
     if swapped:
         pairs = pairs[:, ::-1]
-    # An empty matching is vacuously not the identity alignment
-    # (``np.all`` of an empty array is True, which would miscount it as
-    # a non-permutation in the Table 1 statistics).
-    is_identity = bool(len(pairs)) and bool(np.all(pairs[:, 0] == pairs[:, 1]))
-    return MatchResult(distance=total, pairs=pairs, unmatched=unmatched, is_identity=is_identity)
+    return MatchResult(
+        distance=total,
+        pairs=pairs,
+        unmatched=unmatched,
+        is_identity=bool(identity_is_optimal(identity_cost, total)),
+    )
 
 
 def min_matching_distance(
@@ -200,19 +203,17 @@ def min_matching_distance(
     y: np.ndarray | VectorSet,
     dist: str | DistanceFn = "euclidean",
     weight: WeightFn | None = None,
-    backend: str = "own",
 ) -> float:
     """Minimal matching distance value (Definition 6)."""
-    return min_matching_match(x, y, dist=dist, weight=weight, backend=backend).distance
+    return min_matching_match(x, y, dist=dist, weight=weight).distance
 
 
 def vector_set_distance(
     x: np.ndarray | VectorSet,
     y: np.ndarray | VectorSet,
-    backend: str = "own",
 ) -> float:
     """The paper's vector set model distance: minimal matching distance
     with Euclidean element distance and Euclidean-norm weights
     (``omega = 0``) — the configuration used in the Figure 9
     experiments."""
-    return min_matching_distance(x, y, dist="euclidean", weight=None, backend=backend)
+    return min_matching_distance(x, y, dist="euclidean", weight=None)

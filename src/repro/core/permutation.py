@@ -84,7 +84,6 @@ def permutation_distance_via_matching(
     y: np.ndarray | VectorSet,
     d: int = 6,
     k: int | None = None,
-    backend: str = "own",
 ) -> float:
     """Definition 4 in O(k^3) via the minimal matching distance.
 
@@ -102,6 +101,5 @@ def permutation_distance_via_matching(
         rows_y,
         dist="sqeuclidean",
         weight=lambda arr: np.sum(arr * arr, axis=1),
-        backend=backend,
     )
     return float(np.sqrt(squared))

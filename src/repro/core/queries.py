@@ -16,11 +16,11 @@ Refinement goes through the batched kernel of :mod:`repro.core.batch`
 whenever the engine uses the default minimal matching distance: the
 database is packed once into an omega-padded ``(n, k, d)`` tensor at
 construction, and candidates are refined in blocks of *block_size* so
-the cost-tensor assembly and the Hungarian solves amortize across the
-block.  k-nn queries stay *optimal multi-step up to one block*: the
-stop condition is evaluated against the radius as of the last completed
-block, which is conservative (it can only stop where the sequential
-algorithm would have stopped), and any candidates refined past the
+the cost-tensor assembly amortizes across the block.  k-nn queries stay
+*optimal multi-step up to one block*: the stop condition is evaluated
+against the radius as of the last completed block, which is
+conservative (it can only stop where the sequential algorithm would
+have stopped), and any candidates refined past the
 sequential stopping point are counted in
 :attr:`QueryStats.extra_refinements` — at most ``block_size - 1`` of
 them, and exactly zero for ``block_size=1``.  Results are provably
@@ -50,7 +50,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.batch import DEFAULT_CHUNK_SIZE, PackedSets, match_pairs
+from repro.core.batch import DEFAULT_CHUNK_SIZE, PackedSets
 from repro.core.centroid import extended_centroid
 from repro.core.vector_set import VectorSet
 from repro.exceptions import QueryError
@@ -151,9 +151,6 @@ class FilterRefineEngine:
         Candidates refined per batched kernel call in k-nn queries.
         Larger blocks amortize better but may refine up to
         ``block_size - 1`` candidates beyond the sequential optimum.
-    backend:
-        Batched assignment backend (``"lockstep"``, ``"scalar"``,
-        ``"scipy"``), see :func:`repro.core.batch.hungarian_batch`.
     oids:
         External object ids, one per set (default: positions
         ``0..n-1``).  Rankers yield these ids and results carry them, so
@@ -170,7 +167,6 @@ class FilterRefineEngine:
         omega: np.ndarray | None = None,
         exact_distance: ExactDistance | None = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        backend: str = "lockstep",
         oids: Sequence[int] | None = None,
     ):
         if capacity < 1:
@@ -181,7 +177,6 @@ class FilterRefineEngine:
             raise QueryError("block_size must be >= 1")
         self.capacity = capacity
         self.block_size = block_size
-        self.backend = backend
         self._sets = [
             np.asarray(s.vectors if isinstance(s, VectorSet) else s, dtype=float)
             for s in sets
@@ -301,13 +296,12 @@ class FilterRefineEngine:
     ) -> np.ndarray:
         """Exact distances from the query to the given database objects."""
         if self._batch_refine:
+            # Looked up per call, so a wrapper installed on
+            # repro.core.batch.match_many (the benchmark's tracer) sees it.
             from repro.core.batch import match_many
 
             return match_many(
-                prepared,
-                self._packed,
-                indices=np.asarray(ids, dtype=np.intp),
-                backend=self.backend,
+                prepared, self._packed, indices=np.asarray(ids, dtype=np.intp)
             )
         return np.array([self._exact(query_arr, self._sets[oid]) for oid in ids])
 
@@ -652,142 +646,3 @@ class FilterRefineEngine:
             k=n_neighbors,
         )
         return results, stats
-
-    def knn_query_many(
-        self, queries: Sequence[np.ndarray | VectorSet], n_neighbors: int
-    ) -> list[tuple[list[QueryMatch], QueryStats]]:
-        """Blocked k-nn for many queries with cross-query batching.
-
-        Runs the same blocked optimal multi-step algorithm as
-        :meth:`knn_query` for every query, but gathers the current block
-        of *all* still-active queries into a single batched kernel call
-        per round, so the packing and solver overhead amortizes across
-        queries as well as candidates.  Per-query results and stats are
-        identical to calling :meth:`knn_query` in a loop.
-        """
-        if n_neighbors < 1:
-            raise QueryError("n_neighbors must be >= 1")
-        if not len(queries):
-            return []
-        if not self._batch_refine:
-            return [self.knn_query(q, n_neighbors) for q in queries]
-
-        query_arrays = [self._query_array(q) for q in queries]
-        for arr in query_arrays:
-            if arr.ndim != 2 or arr.shape[1] != self.dimension:
-                raise QueryError(f"query set has incompatible shape {arr.shape}")
-        packed_queries = PackedSets.pack(
-            query_arrays, capacity=self.capacity, omega=self.omega
-        )
-
-        class _State:
-            __slots__ = ("order", "dists", "pos", "heap", "stats", "stop", "done")
-
-        n_objects = len(self._sets)
-        states: list[_State] = []
-        for arr in query_arrays:
-            center = extended_centroid(arr, self.capacity, self.omega)
-            dists = np.linalg.norm(self.centroids - center, axis=1)
-            state = _State()
-            state.order = np.argsort(dists, kind="stable")
-            state.dists = dists
-            state.pos = 0
-            state.heap = []
-            state.stats = QueryStats()
-            state.stop = False
-            state.done = False
-            states.append(state)
-
-        refine_seconds = 0.0
-        rounds = 0
-        with span("query.knn_many", queries=len(queries), k=n_neighbors) as sp:
-            while True:
-                qi_idx: list[int] = []
-                oid_idx: list[int] = []
-                blocks: list[tuple[int, list[tuple[int, float]]]] = []
-                for qi, state in enumerate(states):
-                    if state.done:
-                        continue
-                    block: list[tuple[int, float]] = []
-                    while state.pos < n_objects and len(block) < self.block_size:
-                        object_id = int(state.order[state.pos])
-                        state.pos += 1
-                        state.stats.candidates_ranked += 1
-                        lower_bound = self.capacity * float(state.dists[object_id])
-                        if (
-                            len(state.heap) == n_neighbors
-                            and lower_bound > -state.heap[0][0]
-                        ):
-                            state.done = True
-                            break
-                        block.append((object_id, lower_bound))
-                    if state.pos >= n_objects:
-                        state.done = True
-                    if block:
-                        blocks.append((qi, block))
-                        for object_id, _ in block:
-                            qi_idx.append(qi)
-                            oid_idx.append(object_id)
-                if not blocks:
-                    break
-                registry().histogram("query.block_candidates").observe(len(qi_idx))
-                with span(
-                    "query.refine", candidates=len(qi_idx), queries=len(blocks)
-                ) as rsp:
-                    exacts = match_pairs(
-                        packed_queries,
-                        np.asarray(qi_idx, dtype=np.intp),
-                        np.asarray(oid_idx, dtype=np.intp),
-                        right=self._packed,
-                        backend=self.backend,
-                    )
-                refine_seconds += rsp.seconds
-                rounds += 1
-                offset = 0
-                for qi, block in blocks:
-                    state = states[qi]
-                    state.stats.exact_computations += len(block)
-                    for (object_id, lower_bound), exact in zip(
-                        block, exacts[offset : offset + len(block)]
-                    ):
-                        if state.stop or (
-                            len(state.heap) == n_neighbors
-                            and lower_bound > -state.heap[0][0]
-                        ):
-                            state.stop = True
-                            state.done = True
-                            state.stats.extra_refinements += 1
-                            continue
-                        exact = float(exact)
-                        oid = self.oids[object_id]
-                        if len(state.heap) < n_neighbors:
-                            heapq.heappush(state.heap, (-exact, -oid))
-                        elif (exact, oid) < (-state.heap[0][0], -state.heap[0][1]):
-                            heapq.heapreplace(state.heap, (-exact, -oid))
-                    offset += len(block)
-
-        output: list[tuple[list[QueryMatch], QueryStats]] = []
-        # Per-query wall time is not separable inside the cross-query
-        # batch; records carry the amortized share plus the batch size.
-        share = sp.seconds / len(queries)
-        refine_share = refine_seconds / len(queries)
-        for state in states:
-            state.stats.pruned = n_objects - state.stats.exact_computations
-            results = [
-                QueryMatch(-neg_oid, -neg_dist) for neg_dist, neg_oid in state.heap
-            ]
-            results.sort(key=lambda match: (match.distance, match.object_id))
-            output.append((results, state.stats))
-            self._record_query(
-                "knn",
-                state.stats,
-                seconds=share,
-                refine_seconds=refine_share,
-                blocks=rounds,
-                k=n_neighbors,
-                batch=len(queries),
-            )
-        return output
-
-    # Alias kept for throughput-oriented callers.
-    batch_queries = knn_query_many

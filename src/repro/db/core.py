@@ -189,9 +189,8 @@ class SimilarityDatabase:
     omega:
         Reference point for extended centroids and matching weights
         (default: origin).
-    block_size / solver:
-        Refinement block size and assignment backend, forwarded to
-        :class:`FilterRefineEngine`.
+    block_size:
+        Refinement block size, forwarded to :class:`FilterRefineEngine`.
     index_capacity:
         Node capacity of the spatial index (default: derived from the
         page size, as in the paper's experiments).
@@ -241,7 +240,6 @@ class SimilarityDatabase:
         backend: str = "xtree",
         omega: np.ndarray | None = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        solver: str = "lockstep",
         index_capacity: int | None = None,
         model=None,
         pipeline=None,
@@ -263,7 +261,6 @@ class SimilarityDatabase:
         self.capacity = capacity
         self.backend = backend
         self.block_size = block_size
-        self.solver = solver
         self.index_capacity = index_capacity
         self.model = model
         self.pipeline = pipeline
@@ -395,7 +392,6 @@ class SimilarityDatabase:
             "backend": self.backend,
             "omega": None if self._omega_arg is None else self._omega_arg.tolist(),
             "block_size": self.block_size,
-            "solver": self.solver,
             "index_capacity": self.index_capacity,
             "fsync": self.fsync if isinstance(self.fsync, (str, int)) else "always",
             "keep_generations": self.keep_generations,
@@ -496,11 +492,9 @@ class SimilarityDatabase:
         if hasattr(index, "serialized"):  # already an array core
             return index
         if self.backend == "mtree":
-            # The mtree core deliberately keeps the scalar metric (no
-            # batch_params — the batch kernel's floats can differ from
-            # the scalar metric by ulps, and pointer==core equality must
-            # be literal), which makes its chunked ranking *slower* than
-            # the pointer walk (BENCH_PR7: 0.93x).  Serve the live tree
+            # The mtree core evaluates the same per-pair metric as the
+            # pointer walk, and its chunked ranking is *slower* than the
+            # walk (BENCH_PR7: 0.93x).  Serve the live tree
             # directly; cores answer only for zero-copy dense loads,
             # where no pointer tree exists to fall back to.
             return index
@@ -681,7 +675,6 @@ class SimilarityDatabase:
                     capacity=self.capacity,
                     omega=self.omega,
                     block_size=self.block_size,
-                    backend=self.solver,
                     oids=oids,
                 )
                 self._engine_version = self._version
@@ -888,7 +881,6 @@ class SimilarityDatabase:
             "dimension": self.dimension,
             "omega": None if self.omega is None else self.omega.tolist(),
             "block_size": self.block_size,
-            "solver": self.solver,
             "index_capacity": self.index_capacity,
             "db_version": self._version,
             "resolution": getattr(self.pipeline, "resolution", None),
@@ -1066,7 +1058,6 @@ class SimilarityDatabase:
             backend=meta["backend"],
             omega=None if meta["omega"] is None else np.asarray(meta["omega"]),
             block_size=meta["block_size"],
-            solver=meta["solver"],
             index_capacity=meta["index_capacity"],
             model=model,
             pipeline=pipeline,
@@ -1171,7 +1162,6 @@ class SimilarityDatabase:
             backend=config["backend"],
             omega=None if config["omega"] is None else np.asarray(config["omega"]),
             block_size=config["block_size"],
-            solver=config["solver"],
             index_capacity=config["index_capacity"],
             model=model,
             pipeline=pipeline,

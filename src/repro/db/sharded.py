@@ -169,7 +169,7 @@ class ShardedSimilarityDatabase:
     """K independent :class:`SimilarityDatabase` shards behind one API.
 
     Parameters mirror ``SimilarityDatabase`` (every ``**shard_kwargs``
-    entry — ``omega``, ``block_size``, ``solver``, ``index_capacity``,
+    entry — ``omega``, ``block_size``, ``index_capacity``,
     ``use_array_core``, ``sketch``, ``sketch_params`` — is forwarded to
     each shard verbatim), plus:
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core.matching import ScalarHungarianSolver, assignment_cost
 from repro.core.min_matching import (
     as_set_array,
     euclidean_cross,
@@ -182,17 +183,23 @@ class TestMinMatching:
             min_matching_distance(np.empty((0, 3)), np.zeros((1, 3)))
 
     def test_backends_agree(self, rng):
+        """The scipy solver and the from-scratch oracle find the same
+        optimum on the matching's padded cost matrix."""
         for _ in range(20):
             x = rng.normal(size=(rng.integers(1, 8), 5))
             y = rng.normal(size=(rng.integers(1, 8), 5))
-            assert min_matching_distance(x, y, backend="own") == pytest.approx(
-                min_matching_distance(x, y, backend="scipy")
+            big, small = (x, y) if len(x) >= len(y) else (y, x)
+            cost = np.empty((len(big), len(big)))
+            cost[:, : len(small)] = euclidean_cross(big, small)
+            cost[:, len(small) :] = np.linalg.norm(big, axis=1)[:, None]
+            oracle = ScalarHungarianSolver(len(big)).solve(cost)
+            assert min_matching_distance(x, y) == pytest.approx(
+                assignment_cost(cost, oracle)
             )
 
     def test_pairs_never_empty_via_public_api(self, rng):
         """The smaller set is always fully matched, so `pairs` has at
-        least one entry — the empty-matching guard in `is_identity` is
-        defensive here (the batched kernel's omega-padded formulation
+        least one entry (the batched kernel's omega-padded formulation
         *can* produce all-virtual matchings; see test_core_batch)."""
         for _ in range(10):
             x = rng.normal(size=(rng.integers(1, 6), 3))

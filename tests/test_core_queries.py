@@ -3,11 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.core.min_matching import min_matching_distance
+from repro.core.matching import ScalarHungarianSolver, assignment_cost
+from repro.core.min_matching import euclidean_cross, min_matching_distance
 from repro.core.queries import FilterRefineEngine, QueryMatch
 from repro.core.vector_set import VectorSet
 from repro.exceptions import DistanceError, QueryError
 from tests.conftest import random_vector_sets
+
+
+def _scalar_oracle_distance(x: np.ndarray, y: np.ndarray) -> float:
+    """Definition 6 (Euclidean elements, norm weights) solved by
+    :class:`ScalarHungarianSolver` instead of the production solver."""
+    if len(x) < len(y):
+        x, y = y, x
+    cost = np.empty((len(x), len(x)))
+    cost[:, : len(y)] = euclidean_cross(x, y)
+    cost[:, len(y) :] = np.linalg.norm(x, axis=1)[:, None]
+    return assignment_cost(cost, ScalarHungarianSolver(len(x)).solve(cost))
 
 
 @pytest.fixture
@@ -140,11 +152,15 @@ class TestBlockedRefinement:
         ]
 
     def test_scipy_backend_agrees(self, engine, rng):
+        """The engine's batched refine (scipy solver) against per-pair
+        refinement solved by the from-scratch Kuhn–Munkres oracle."""
         eng, sets = engine
-        oracle = FilterRefineEngine(sets, capacity=7, backend="scipy")
+        oracle = FilterRefineEngine(
+            sets, capacity=7, exact_distance=_scalar_oracle_distance
+        )
         query = rng.normal(size=(3, 6))
-        expected, _ = eng.knn_query(query, 5)
-        got, _ = oracle.knn_query(query, 5)
+        expected, _ = oracle.knn_query(query, 5)
+        got, _ = eng.knn_query(query, 5)
         assert [m.object_id for m in got] == [m.object_id for m in expected]
         assert [m.distance for m in got] == pytest.approx(
             [m.distance for m in expected], abs=1e-9
@@ -156,14 +172,27 @@ class TestBlockedRefinement:
 
 
 class TestKnnQueryMany:
-    def test_identical_to_looped_queries(self, engine, rng):
-        eng, sets = engine
+    """The database's batch entry point: one read lock, per-query
+    answers identical to :meth:`knn_query`."""
+
+    @pytest.fixture
+    def db(self, engine):
+        from repro.db import SimilarityDatabase
+
+        _, sets = engine
+        database = SimilarityDatabase(7)
+        for oid, vectors in enumerate(sets):
+            database.add(oid, vectors)
+        return database, sets
+
+    def test_identical_to_looped_queries(self, db, rng):
+        database, sets = db
         queries = [rng.normal(size=(rng.integers(1, 8), 6)) for _ in range(6)]
         queries.append(sets[42])
-        many = eng.knn_query_many(queries, 5)
+        many = database.knn_query_many(queries, 5)
         assert len(many) == len(queries)
         for query, (results, stats) in zip(queries, many):
-            expected, expected_stats = eng.knn_query(query, 5)
+            expected, expected_stats = database.knn_query(query, 5)
             assert [m.object_id for m in results] == [m.object_id for m in expected]
             assert [m.distance for m in results] == [m.distance for m in expected]
             assert stats.candidates_ranked == expected_stats.candidates_ranked
@@ -171,29 +200,14 @@ class TestKnnQueryMany:
             assert stats.extra_refinements == expected_stats.extra_refinements
             assert stats.pruned == expected_stats.pruned
 
-    def test_empty_query_list(self, engine):
-        eng, _ = engine
-        assert eng.knn_query_many([], 3) == []
+    def test_empty_query_list(self, db):
+        database, _ = db
+        assert database.knn_query_many([], 3) == []
 
-    def test_custom_exact_distance_fallback(self, rng):
-        sets = random_vector_sets(rng, 30, dim=6, max_size=7)
-        eng = FilterRefineEngine(
-            sets, capacity=7, exact_distance=min_matching_distance
-        )
-        queries = [rng.normal(size=(3, 6)) for _ in range(3)]
-        many = eng.knn_query_many(queries, 4)
-        for query, (results, _) in zip(queries, many):
-            expected, _ = eng.knn_query(query, 4)
-            assert [m.object_id for m in results] == [m.object_id for m in expected]
-
-    def test_invalid_k_rejected(self, engine):
-        eng, sets = engine
+    def test_invalid_k_rejected(self, db):
+        database, sets = db
         with pytest.raises(QueryError):
-            eng.knn_query_many([sets[0]], 0)
-
-    def test_batch_queries_alias(self, engine):
-        eng, _ = engine
-        assert eng.batch_queries == eng.knn_query_many
+            database.knn_query_many([sets[0]], 0)
 
 
 class TestConstruction:

@@ -232,6 +232,59 @@ class TestDurableRoundtrip:
             SimilarityDatabase(CAPACITY, durable=True, path=tmp_path / "db")
 
 
+class TestLegacySolverKey:
+    """Layouts written while the database still took a ``solver=``
+    argument carry ``"solver": "lockstep"`` in the durable config and
+    in every archive's metadata; they must open and answer exactly like
+    a fresh build, and new writes must not carry the key."""
+
+    @pytest.fixture
+    def legacy_writes(self, monkeypatch):
+        snapshot_state = SimilarityDatabase._snapshot_state
+        durable_config = SimilarityDatabase._durable_config
+
+        def legacy_snapshot(self):
+            meta, arrays = snapshot_state(self)
+            return {**meta, "solver": "lockstep"}, arrays
+
+        def legacy_config(self):
+            return {**durable_config(self), "solver": "lockstep"}
+
+        monkeypatch.setattr(SimilarityDatabase, "_snapshot_state", legacy_snapshot)
+        monkeypatch.setattr(SimilarityDatabase, "_durable_config", legacy_config)
+        return monkeypatch
+
+    def test_reopens_legacy_durable_dir_and_archive(
+        self, legacy_writes, tmp_path, rng
+    ):
+        plan = make_plan(rng)
+        dbdir = tmp_path / "db"
+        db = SimilarityDatabase(CAPACITY, durable=True, path=dbdir)
+        for step in plan:
+            apply_step(db, step)
+        db.close()
+        archive = tmp_path / "legacy.npz"
+        fresh_build(plan, "xtree").save(archive)
+        legacy_writes.undo()
+
+        from repro.db.core import DB_FORMAT
+        from repro.index.snapshot import read_archive
+
+        config = json.loads((dbdir / "durable.json").read_text())
+        assert config["solver"] == "lockstep"
+        assert read_archive(archive, DB_FORMAT)[0]["solver"] == "lockstep"
+        reference = fresh_build(plan, "xtree")
+        loaded = SimilarityDatabase.load(archive)
+        assert_equivalent(loaded, reference, rng)
+        assert "solver" not in loaded._snapshot_state()[0]
+        recovered = SimilarityDatabase.load(dbdir)
+        assert not recovered.last_recovery.degraded
+        assert_equivalent(recovered, reference, rng)
+        recovered.checkpoint()
+        recovered.close()
+        assert "solver" not in SimilarityDatabase(CAPACITY)._durable_config()
+
+
 class TestRecoveryLadder:
     def _build(self, dbdir, rng, backend="xtree"):
         plan = make_plan(rng)

@@ -218,18 +218,6 @@ class TestContext:
 
 
 class TestEngineAndBatchPaths:
-    def test_knn_many_amortizes_batch_time(self, enabled, rng):
-        from repro.core.queries import FilterRefineEngine
-
-        sets = [rng.normal(size=(3, 6)) for _ in range(20)]
-        engine = FilterRefineEngine(sets, capacity=5)
-        engine.knn_query_many(sets[:4], 3)
-        events = query_events(enabled)
-        assert len(events) == 4
-        assert all(e["batch"] == 4 for e in events)
-        # Per-query seconds are an equal share of the batch wall time.
-        assert len({e["seconds"] for e in events}) == 1
-
     def test_scan_and_subset_are_pure_refinement(self, enabled, rng):
         from repro.core.queries import FilterRefineEngine
 
